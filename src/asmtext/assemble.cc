@@ -12,6 +12,11 @@ using arch::Mn;
 
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) / a * a; }
 
+// A sandbox is a 4 GiB slot and program addresses are 32-bit offsets into
+// it, so no section can be larger. Checking each step also keeps the size
+// arithmetic far from overflow (alignments and .zero sizes are < 2^63).
+constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 32;
+
 // Size in bytes a directive contributes to its section. `addr` is the
 // current offset, needed for alignment.
 uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
@@ -45,34 +50,42 @@ void AppendLE(std::vector<uint8_t>* out, uint64_t v, unsigned bytes) {
 
 Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
   // Pass 1: compute section sizes and label addresses (section-relative,
-  // converted to absolute once section bases are known).
+  // converted to absolute once section bases are known), by symbol id.
   struct LabelPos {
-    Section section;
-    uint64_t offset;
+    bool defined = false;
+    Section section = Section::kText;
+    uint64_t offset = 0;
   };
-  std::map<std::string, LabelPos> labels;
+  std::vector<LabelPos> labels(file.syms.size());
   uint64_t sizes[4] = {0, 0, 0, 0};
   Section cur = Section::kText;
   for (const auto& s : file.stmts) {
     auto& sz = sizes[static_cast<int>(cur)];
     switch (s.kind) {
       case AsmStmt::Kind::kLabel:
-        if (labels.count(s.label)) {
-          return Error{"assemble: duplicate label " + s.label};
+        if (labels[s.sym].defined) {
+          return Error{"assemble: duplicate label " +
+                       std::string(file.Name(s.sym))};
         }
-        labels[s.label] = {cur, sz};
+        labels[s.sym] = {true, cur, sz};
         break;
-      case AsmStmt::Kind::kDirective:
-        if (s.dir.kind == Directive::Kind::kSection) {
-          cur = s.dir.section;
+      case AsmStmt::Kind::kDirective: {
+        const Directive& d = file.Dir(s);
+        if (d.kind == Directive::Kind::kSection) {
+          cur = d.section;
         } else {
-          if (cur == Section::kBss && s.dir.kind != Directive::Kind::kZero &&
-              s.dir.kind != Directive::Kind::kBalign) {
+          if (cur == Section::kBss && d.kind != Directive::Kind::kZero &&
+              d.kind != Directive::Kind::kBalign) {
             return Error{"assemble: initialized data in .bss"};
           }
-          sz += DirectiveSize(s.dir, sz);
+          sz += DirectiveSize(d, sz);
+          if (sz > kMaxSectionBytes) {
+            return Error{"assemble: section larger than the 4 GiB sandbox at "
+                         "line " + std::to_string(s.line)};
+          }
         }
         break;
+      }
       case AsmStmt::Kind::kRtcall:
         return Error{"assemble: unexpanded rtcall (run the rewriter first)"};
       case AsmStmt::Kind::kHostcall:
@@ -99,15 +112,21 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
 
   const uint64_t bases[4] = {img.text_addr, img.rodata_addr, img.data_addr,
                              img.bss_addr};
-  for (auto& [name, pos] : labels) {
-    img.symbols[name] = bases[static_cast<int>(pos.section)] + pos.offset;
+  std::vector<uint64_t> addrs(labels.size());
+  for (uint32_t id = 0; id < labels.size(); ++id) {
+    if (!labels[id].defined) continue;
+    const LabelPos& pos = labels[id];
+    addrs[id] = bases[static_cast<int>(pos.section)] + pos.offset;
+    img.symbols.emplace(file.Name(id), addrs[id]);
   }
-  auto resolve = [&](const std::string& sym) -> Result<uint64_t> {
-    auto it = img.symbols.find(sym);
-    if (it == img.symbols.end()) {
-      return Error{"assemble: undefined symbol " + sym};
+  auto resolve = [&](uint32_t sym) -> Result<uint64_t> {
+    if (sym >= labels.size() || !labels[sym].defined) {
+      return Error{"assemble: undefined symbol " +
+                   (sym < labels.size() ? std::string(file.Name(sym))
+                                        : "<sym " + std::to_string(sym) +
+                                              ">")};
     }
-    return it->second;
+    return addrs[sym];
   };
 
   // Pass 2: emit bytes.
@@ -122,7 +141,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
       case AsmStmt::Kind::kLabel:
         break;
       case AsmStmt::Kind::kDirective: {
-        const Directive& d = s.dir;
+        const Directive& d = file.Dir(s);
         if (d.kind == Directive::Kind::kSection) {
           cur = d.section;
           break;
@@ -145,7 +164,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
                                                                           : 8;
             for (size_t k = 0; k < d.values.size(); ++k) {
               uint64_t v = static_cast<uint64_t>(d.values[k]);
-              if (!d.syms[k].empty()) {
+              if (d.syms[k] != kNoSym) {
                 auto addr = resolve(d.syms[k]);
                 if (!addr) return Error{addr.error()};
                 v = *addr;
@@ -175,7 +194,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
         Inst inst = s.inst;
         const uint64_t addr = img.text_addr + off;
         if (s.reloc == Reloc::kBranch) {
-          auto target = resolve(s.target);
+          auto target = resolve(s.sym);
           if (!target) return Error{target.error()};
           if (inst.mn == Mn::kAdrp) {
             inst.imm = static_cast<int64_t>((*target & ~uint64_t{0xfff}) -
@@ -184,14 +203,14 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
             inst.imm = static_cast<int64_t>(*target - addr);
           }
         } else if (s.reloc == Reloc::kLo12) {
-          auto target = resolve(s.target);
+          auto target = resolve(s.sym);
           if (!target) return Error{target.error()};
           inst.imm = static_cast<int64_t>(*target & 0xfff);
         }
         auto word = arch::Encode(inst);
         if (!word) {
           return Error{"assemble: line " + std::to_string(s.line) + " `" +
-                       PrintStmt(s) + "`: " + word.error()};
+                       PrintStmt(file, s) + "`: " + word.error()};
         }
         AppendLE(out, *word, 4);
         off += 4;
@@ -200,8 +219,9 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     }
   }
 
-  img.entry = img.symbols.count("_start") ? img.symbols["_start"]
-                                          : img.text_addr;
+  const uint32_t start = file.syms.Find("_start");
+  img.entry = start != kNoSym && labels[start].defined ? addrs[start]
+                                                       : img.text_addr;
   return img;
 }
 

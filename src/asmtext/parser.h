@@ -19,8 +19,8 @@ namespace lfi::asmtext {
 Result<AsmFile> Parse(std::string_view source);
 
 // Parses a single instruction statement (no labels/directives); used by
-// tests and tooling.
-Result<AsmStmt> ParseInst(std::string_view line);
+// tests and tooling. The referenced label, if any, is in `target`.
+Result<ParsedInst> ParseInst(std::string_view line);
 
 }  // namespace lfi::asmtext
 

@@ -90,7 +90,7 @@ std::string RtName(const Inst& i) {
   return RegName(i.rt, i.width);
 }
 
-std::string InstStr(const AsmStmt& s) {
+std::string InstStr(const AsmStmt& s, std::string_view target) {
   const Inst& i = s.inst;
   const Width w = i.width;
   std::ostringstream os;
@@ -100,7 +100,7 @@ std::string InstStr(const AsmStmt& s) {
     case Mn::kAddImm: case Mn::kAddsImm: case Mn::kSubImm: case Mn::kSubsImm:
       os << reg(i.rd) << ", " << reg(i.rn) << ", ";
       if (s.reloc == Reloc::kLo12) {
-        os << ":lo12:" << s.target;
+        os << ":lo12:" << target;
       } else {
         os << "#" << i.imm;
       }
@@ -165,7 +165,7 @@ std::string InstStr(const AsmStmt& s) {
       os << reg(i.rd) << ", " << reg(i.rn);
       break;
     case Mn::kAdr: case Mn::kAdrp:
-      os << RegName(i.rd, Width::kX) << ", " << s.target;
+      os << RegName(i.rd, Width::kX) << ", " << target;
       break;
     case Mn::kLdr: case Mn::kStr:
       os << RtName(i) << ", " << MemStr(i);
@@ -184,13 +184,13 @@ std::string InstStr(const AsmStmt& s) {
       os << VRegName(i.vt, i.fsize) << ", " << MemStr(i);
       break;
     case Mn::kB: case Mn::kBl: case Mn::kBCond:
-      os << s.target;
+      os << target;
       break;
     case Mn::kCbz: case Mn::kCbnz:
-      os << reg(i.rt) << ", " << s.target;
+      os << reg(i.rt) << ", " << target;
       break;
     case Mn::kTbz: case Mn::kTbnz:
-      os << RegName(i.rt, i.width) << ", #" << int{i.bit} << ", " << s.target;
+      os << RegName(i.rt, i.width) << ", #" << int{i.bit} << ", " << target;
       break;
     case Mn::kBr: case Mn::kBlr:
       os << RegName(i.rn, Width::kX);
@@ -242,7 +242,7 @@ std::string InstStr(const AsmStmt& s) {
   return out;
 }
 
-std::string DirectiveStr(const Directive& d) {
+std::string DirectiveStr(const Directive& d, const SymbolTable& syms) {
   std::ostringstream os;
   switch (d.kind) {
     case Directive::Kind::kSection:
@@ -267,8 +267,8 @@ std::string DirectiveStr(const Directive& d) {
                  : d.kind == Directive::Kind::kWord ? ".word " : ".quad ");
       for (size_t k = 0; k < d.values.size(); ++k) {
         if (k) os << ", ";
-        if (!d.syms[k].empty()) {
-          os << d.syms[k];
+        if (d.syms[k] != kNoSym) {
+          os << syms.Name(d.syms[k]);
         } else {
           os << d.values[k];
         }
@@ -297,28 +297,47 @@ std::string DirectiveStr(const Directive& d) {
   return os.str();
 }
 
-}  // namespace
-
-std::string PrintStmt(const AsmStmt& s) {
+// Renders `s`, naming its symbol `target`; `dir` is its directive.
+std::string Render(const AsmStmt& s, std::string_view target,
+                   const Directive* dir, const SymbolTable* syms) {
   switch (s.kind) {
     case AsmStmt::Kind::kLabel:
-      return s.label + ":";
+      return std::string(target) + ":";
     case AsmStmt::Kind::kDirective:
-      return DirectiveStr(s.dir);
+      return dir != nullptr ? DirectiveStr(*dir, *syms)
+                            : "<directive " + std::to_string(s.dir) + ">";
     case AsmStmt::Kind::kRtcall:
       return "rtcall #" + std::to_string(s.inst.imm);
     case AsmStmt::Kind::kHostcall:
       return "hostcall #" + std::to_string(s.inst.imm);
     case AsmStmt::Kind::kInst:
-      return "\t" + InstStr(s);
+      return "\t" + InstStr(s, target);
   }
   return "";
+}
+
+}  // namespace
+
+std::string PrintStmt(const AsmFile& file, const AsmStmt& s) {
+  const bool dir = s.kind == AsmStmt::Kind::kDirective;
+  return Render(s, s.sym == kNoSym ? "" : file.Name(s.sym),
+                dir ? &file.Dir(s) : nullptr, &file.syms);
+}
+
+std::string PrintStmt(const AsmStmt& s) {
+  const std::string target =
+      s.sym == kNoSym ? "" : "<sym " + std::to_string(s.sym) + ">";
+  return Render(s, target, nullptr, nullptr);
+}
+
+std::string PrintStmt(const ParsedInst& s) {
+  return Render(s, s.target, nullptr, nullptr);
 }
 
 std::string Print(const AsmFile& file) {
   std::string out;
   for (const auto& s : file.stmts) {
-    out += PrintStmt(s);
+    out += PrintStmt(file, s);
     out += "\n";
   }
   return out;

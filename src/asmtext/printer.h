@@ -13,8 +13,16 @@
 
 namespace lfi::asmtext {
 
-// Renders one statement (no trailing newline).
+// Renders one statement of `file` (no trailing newline).
+std::string PrintStmt(const AsmFile& file, const AsmStmt& stmt);
+
+// Renders a statement without its file: instructions print in full, but
+// the names of labels and symbol operands live in the file's symbol table,
+// so they print as `<sym N>` (and directives as `<directive N>`).
 std::string PrintStmt(const AsmStmt& stmt);
+
+// Renders a ParseInst result, naming its target.
+std::string PrintStmt(const ParsedInst& stmt);
 
 // Renders a whole file.
 std::string Print(const AsmFile& file);

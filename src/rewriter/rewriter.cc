@@ -1,8 +1,8 @@
 #include "rewriter/rewriter.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "arch/encode.h"
 
@@ -163,14 +163,14 @@ class RewriterImpl {
   void Emit(Inst i) {
     out_.stmts.push_back(AsmStmt::OfInst(i));
   }
-  void EmitStmt(AsmStmt s) { out_.stmts.push_back(std::move(s)); }
+  void EmitStmt(const AsmStmt& s) { out_.stmts.push_back(s); }
   void EmitGuard(Reg dst, Reg src) {
     Emit(MakeGuard(dst, src));
     if (stats_) ++stats_->guards_inserted;
   }
 
-  std::string FreshLabel() {
-    return ".LFI" + std::to_string(label_counter_++);
+  uint32_t FreshLabel() {
+    return out_.syms.Intern(".LFI" + std::to_string(label_counter_++));
   }
 
   Status CheckInputClean(const AsmFile& in) const;
@@ -197,10 +197,13 @@ class RewriterImpl {
 
   // Pass 2: tbz/tbnz range fix.
   void FixShortBranches();
+  bool TestBranchOutOfRange(const AsmStmt& s, int64_t addr) const;
 
   const RewriteOptions& opts_;
   RewriteStats* stats_;
   AsmFile out_;
+  // FixShortBranches: estimated address of each label, by symbol id.
+  std::vector<int64_t> label_addr_;
   int label_counter_ = 0;
   bool in_text_ = true;
   HoistSlot slots_[2];
@@ -264,8 +267,11 @@ int RewriterImpl::CountHoistable(const AsmFile& in, size_t idx,
     const Inst& i = s.inst;
     if (HoistEligible(i) && i.mem.base == base) {
       // Only accesses that would otherwise cost an extra instruction
-      // count toward the benefit: basic [xN] is already free at O1.
-      if (!(SupportsGuardedMode(i) && i.mem.imm == 0)) ++count;
+      // count toward the benefit: basic [xN] is already free at O1. The
+      // caller only asks whether there are two.
+      if (!(SupportsGuardedMode(i) && i.mem.imm == 0) && ++count == 2) {
+        return count;
+      }
     }
     if (arch::IsBranch(i)) break;
     if (arch::WritesGpr(i, base)) break;
@@ -676,63 +682,75 @@ Status RewriterImpl::RewriteInst(const AsmFile& in, size_t idx) {
   return Status::Ok();
 }
 
+// Estimated size of a statement for the tbz/tbnz range fix.
+int64_t EstimatedSize(const AsmStmt& s) {
+  if (s.kind == AsmStmt::Kind::kInst) return 4;
+  // Generous slop for alignment/data in text.
+  if (s.kind == AsmStmt::Kind::kDirective) return 64;
+  return 0;
+}
+
+bool RewriterImpl::TestBranchOutOfRange(const AsmStmt& s,
+                                        int64_t addr) const {
+  constexpr int64_t kLimit = 30000;  // margin below the 32764-byte reach
+  if (s.kind != AsmStmt::Kind::kInst ||
+      (s.inst.mn != Mn::kTbz && s.inst.mn != Mn::kTbnz) ||
+      s.sym == asmtext::kNoSym) {
+    return false;
+  }
+  const int64_t target = label_addr_[s.sym];
+  const int64_t dist = target == INT64_MIN ? 0 : target - addr;
+  return dist > kLimit || dist < -kLimit;
+}
+
 void RewriterImpl::FixShortBranches() {
   // tbz/tbnz reach only +-32KiB; inserted guards may push a target out of
   // range (Section 5.1). Estimate addresses conservatively (every
   // instruction 4 bytes, ignoring section gaps within .text) and rewrite
   // over-distance test-branches into an inverted-skip + unconditional
   // branch pair. Iterate to a fixpoint since rewriting grows code.
-  constexpr int64_t kLimit = 30000;  // margin below the 32764-byte reach
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Label -> estimated address.
-    std::unordered_map<std::string, int64_t> labels;
+  while (true) {
+    // Label -> estimated address (the last definition wins; INT64_MIN for
+    // an undefined target, which is left alone).
+    label_addr_.assign(out_.syms.size(), INT64_MIN);
     int64_t addr = 0;
     for (const auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kLabel) {
-        labels[s.label] = addr;
-      } else if (s.kind == AsmStmt::Kind::kInst) {
-        addr += 4;
-      } else if (s.kind == AsmStmt::Kind::kDirective) {
-        addr += 64;  // generous slop for alignment/data in text
-      }
+      if (s.kind == AsmStmt::Kind::kLabel) label_addr_[s.sym] = addr;
+      addr += EstimatedSize(s);
     }
-    AsmFile next;
-    next.stmts.reserve(out_.stmts.size());
+    // Nearly every file needs no change: check before rebuilding.
+    bool any = false;
     addr = 0;
-    for (auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kInst &&
-          (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
-          !s.target.empty()) {
-        auto it = labels.find(s.target);
-        const int64_t dist =
-            it == labels.end() ? 0 : it->second - addr;
-        if (dist > kLimit || dist < -kLimit) {
-          // tbz rt,#b,far  =>  tbnz rt,#b,skip ; b far ; skip:
-          AsmStmt inv = s;
-          inv.inst.mn = s.inst.mn == Mn::kTbz ? Mn::kTbnz : Mn::kTbz;
-          const std::string skip = FreshLabel();
-          inv.target = skip;
-          next.stmts.push_back(inv);
-          Inst b;
-          b.mn = Mn::kB;
-          next.stmts.push_back(AsmStmt::Branch(b, s.target));
-          next.stmts.push_back(AsmStmt::Label(skip));
-          addr += 8;
-          changed = true;
-          if (stats_) ++stats_->tbz_rewritten;
-          continue;
-        }
+    for (const auto& s : out_.stmts) {
+      if (TestBranchOutOfRange(s, addr)) {
+        any = true;
+        break;
       }
-      if (s.kind == AsmStmt::Kind::kInst) {
-        addr += 4;
-      } else if (s.kind == AsmStmt::Kind::kDirective) {
-        addr += 64;
-      }
-      next.stmts.push_back(std::move(s));
+      addr += EstimatedSize(s);
     }
-    out_ = std::move(next);
+    if (!any) return;
+    std::vector<AsmStmt> next;
+    next.reserve(out_.stmts.size() + 16);
+    addr = 0;
+    for (const auto& s : out_.stmts) {
+      if (TestBranchOutOfRange(s, addr)) {
+        // tbz rt,#b,far  =>  tbnz rt,#b,skip ; b far ; skip:
+        AsmStmt inv = s;
+        inv.inst.mn = s.inst.mn == Mn::kTbz ? Mn::kTbnz : Mn::kTbz;
+        inv.sym = FreshLabel();
+        next.push_back(inv);
+        Inst b;
+        b.mn = Mn::kB;
+        next.push_back(AsmStmt::Branch(b, s.sym));
+        next.push_back(AsmStmt::Label(inv.sym));
+        addr += 8;
+        if (stats_) ++stats_->tbz_rewritten;
+        continue;
+      }
+      addr += EstimatedSize(s);
+      next.push_back(s);
+    }
+    out_.stmts = std::move(next);
   }
 }
 
@@ -743,6 +761,10 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
   if (opts_.insert_guards) {
     if (auto st = CheckInputClean(in); !st.ok()) return Error{st.error()};
   }
+  // Labels and directives keep their ids: the output starts from the
+  // input's tables and only appends to them.
+  out_.syms = in.syms;
+  out_.dirs = in.dirs;
   out_.stmts.reserve(in.stmts.size() * 2);
   in_text_ = true;
   for (size_t idx = 0; idx < in.stmts.size(); ++idx) {
@@ -753,8 +775,8 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
         EmitStmt(s);
         break;
       case AsmStmt::Kind::kDirective:
-        if (s.dir.kind == asmtext::Directive::Kind::kSection) {
-          in_text_ = s.dir.section == asmtext::Section::kText;
+        if (in.Dir(s).kind == asmtext::Directive::Kind::kSection) {
+          in_text_ = in.Dir(s).section == asmtext::Section::kText;
           ResetBlockState();
         }
         EmitStmt(s);

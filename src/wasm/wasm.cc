@@ -96,7 +96,7 @@ class Instrumenter {
 
  private:
   void Emit(Inst i) { out_.stmts.push_back(AsmStmt::OfInst(i)); }
-  void EmitStmt(AsmStmt s) { out_.stmts.push_back(std::move(s)); }
+  void EmitStmt(const AsmStmt& s) { out_.stmts.push_back(s); }
 
   // Ensures the heap base is in kBase; returns without emitting when the
   // engine hoists and the base is still valid in this block.
@@ -279,11 +279,15 @@ void Instrumenter::EmitIndirectCallChecks() {
   Inst b;
   b.mn = Mn::kBCond;
   b.cond = arch::Cond::kNe;
-  EmitStmt(AsmStmt::Branch(b, "__wasm_trap"));
+  out_.AddBranch(b, "__wasm_trap");
   Emit(expect);
 }
 
 Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
+  // Statements keep their symbol and directive ids.
+  out_.syms = in.syms;
+  out_.dirs = in.dirs;
+  const uint32_t start = in.syms.Find("_start");
   bool prologue_emitted = false;
   bool in_text = true;
   for (const auto& s : in.stmts) {
@@ -291,14 +295,14 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
       case AsmStmt::Kind::kLabel:
         base_valid_ = false;  // joins invalidate the hoisted base
         EmitStmt(s);
-        if (!prologue_emitted && s.label == "_start") {
+        if (!prologue_emitted && s.sym == start) {
           // Store the linear-memory base (== sandbox base, from x21 set up
           // by the loader) into the context struct, and pin it if the
           // engine does.
           Inst adrp;
           adrp.mn = Mn::kAdrp;
           adrp.rd = kCtx;
-          EmitStmt(AsmStmt::Branch(adrp, "__wasm_ctx"));
+          out_.AddBranch(adrp, "__wasm_ctx");
           Inst lo;
           lo.mn = Mn::kAddImm;
           lo.width = Width::kX;
@@ -306,7 +310,7 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
           lo.rn = kCtx;
           AsmStmt lo_s = AsmStmt::OfInst(lo);
           lo_s.reloc = asmtext::Reloc::kLo12;
-          lo_s.target = "__wasm_ctx";
+          lo_s.sym = out_.syms.Intern("__wasm_ctx");
           EmitStmt(lo_s);
           Inst st;
           st.mn = Mn::kStr;
@@ -329,8 +333,8 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
         }
         break;
       case AsmStmt::Kind::kDirective:
-        if (s.dir.kind == asmtext::Directive::Kind::kSection) {
-          in_text = s.dir.section == asmtext::Section::kText;
+        if (in.Dir(s).kind == asmtext::Directive::Kind::kSection) {
+          in_text = in.Dir(s).section == asmtext::Section::kText;
           base_valid_ = false;
         }
         EmitStmt(s);
@@ -376,7 +380,7 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
     }
   }
   // Trap target and context struct.
-  out_.stmts.push_back(AsmStmt::Label("__wasm_trap"));
+  out_.AddLabel("__wasm_trap");
   Inst trap;
   trap.mn = Mn::kBrk;
   trap.imm = 0x77;
@@ -384,19 +388,13 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
   asmtext::Directive data;
   data.kind = asmtext::Directive::Kind::kSection;
   data.section = asmtext::Section::kData;
-  AsmStmt data_s;
-  data_s.kind = AsmStmt::Kind::kDirective;
-  data_s.dir = data;
-  out_.stmts.push_back(data_s);
-  out_.stmts.push_back(AsmStmt::Label("__wasm_ctx"));
+  out_.AddDirective(std::move(data));
+  out_.AddLabel("__wasm_ctx");
   asmtext::Directive quads;
   quads.kind = asmtext::Directive::Kind::kQuad;
   quads.values = {0, 0, 0};
-  quads.syms = {"", "", ""};
-  AsmStmt quads_s;
-  quads_s.kind = AsmStmt::Kind::kDirective;
-  quads_s.dir = quads;
-  out_.stmts.push_back(quads_s);
+  quads.syms.assign(3, asmtext::kNoSym);
+  out_.AddDirective(std::move(quads));
   return std::move(out_);
 }
 

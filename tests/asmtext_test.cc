@@ -166,6 +166,26 @@ TEST(Parser, RejectsBadInput) {
   EXPECT_FALSE(ParseInst("ldr x0, [x99]").ok());
   EXPECT_FALSE(ParseInst("mov x0, #1000000000000").ok());
   EXPECT_FALSE(ParseInst("add x0, x1, w2").ok());  // missing extend
+  // Numeric literals whose magnitude overflows 64 bits are errors, not
+  // wrapped values.
+  for (const char* line : {"add x0, x1, #18446744073709551617",
+                           "ldr x0, [x1, #18446744073709551624]"}) {
+    auto s = ParseInst(line);
+    ASSERT_FALSE(s.ok()) << line;
+    EXPECT_NE(s.error().find("overflows 64 bits"), std::string::npos)
+        << s.error();
+  }
+  auto quad = Parse(".data\n.quad 36893488147419103232\n");
+  ASSERT_FALSE(quad.ok());
+  EXPECT_NE(quad.error().find("overflows 64 bits"), std::string::npos)
+      << quad.error();
+  // Immediates the rewriter would have to negate must have a negation.
+  EXPECT_FALSE(ParseInst("add x0, x1, #-9223372036854775808").ok());
+  EXPECT_FALSE(ParseInst("ldr x0, [x1, #-9223372036854775808]").ok());
+  EXPECT_FALSE(ParseInst("ldr x0, [x1], #-9223372036854775808").ok());
+  // The largest 64-bit magnitudes still parse.
+  EXPECT_TRUE(Parse(".quad 18446744073709551615, 0xffffffffffffffff\n").ok());
+  EXPECT_TRUE(ParseInst("and x0, x1, #0xffffffff00000000").ok());
 }
 
 TEST(Parser, FullFileWithSections) {
@@ -313,6 +333,29 @@ TEST(Assemble, ErrorsOnUnexpandedRtcall) {
   auto f = Parse(".text\nrtcall #1\n");
   ASSERT_TRUE(f.ok());
   EXPECT_FALSE(Assemble(*f, LayoutSpec{}).ok());
+}
+
+TEST(Assemble, ErrorsOnSectionsLargerThanTheSandbox) {
+  // Sizes come from untrusted text; they must be refused before any byte
+  // is allocated.
+  for (const char* src : {".data\n.zero 1099511627776\n",
+                          ".data\n.byte 1\n.balign 4611686018427387904\n",
+                          ".data\n.p2align 62\n.byte 1\n.p2align 62\n"}) {
+    auto f = Parse(src);
+    ASSERT_TRUE(f.ok()) << f.error();
+    auto img = Assemble(*f, LayoutSpec{});
+    ASSERT_FALSE(img.ok()) << src;
+    EXPECT_NE(img.error().find("larger than the 4 GiB sandbox"),
+              std::string::npos)
+        << img.error();
+  }
+  // .bss is never allocated, but it still has to fit.
+  auto bss = Parse(".bss\n.zero 8589934592\n");
+  ASSERT_TRUE(bss.ok());
+  EXPECT_FALSE(Assemble(*bss, LayoutSpec{}).ok());
+  auto fits = Parse(".bss\n.zero 1048576\n");
+  ASSERT_TRUE(fits.ok());
+  EXPECT_TRUE(Assemble(*fits, LayoutSpec{}).ok());
 }
 
 TEST(Assemble, ErrorsOnDataInText) {
