@@ -277,6 +277,7 @@ std::string DirectiveStr(const Directive& d, const SymbolTable& syms) {
     }
     case Directive::Kind::kAsciz: {
       os << ".asciz \"";
+      char prev = 0;
       for (char c : d.text) {
         switch (c) {
           case '\n': os << "\\n"; break;
@@ -284,8 +285,11 @@ std::string DirectiveStr(const Directive& d, const SymbolTable& syms) {
           case '\0': os << "\\0"; break;
           case '\\': os << "\\\\"; break;
           case '"': os << "\\\""; break;
+          // The parser strips `//` comments before reading strings.
+          case '/': os << (prev == '/' ? "\\/" : "/"); break;
           default: os << c;
         }
+        prev = c;
       }
       os << "\"";
       break;

@@ -259,6 +259,21 @@ TEST(Printer, RoundTripsThroughParser) {
   }
 }
 
+TEST(Printer, StringsWithDoubleSlashesRoundTrip) {
+  // `//` starts a comment, so the printer must not emit it inside a
+  // string literal.
+  auto f = Parse(".data\nurl:\n.asciz \"a\\/\\/b/\\/\\/c\"\n");
+  ASSERT_TRUE(f.ok()) << f.error();
+  ASSERT_EQ(f->dirs.size(), 2u);
+  EXPECT_EQ(f->dirs[1].text, "a//b///c");
+  const std::string printed = Print(*f);
+  EXPECT_EQ(printed.find("//"), std::string::npos) << printed;
+  auto again = Parse(printed);
+  ASSERT_TRUE(again.ok()) << again.error() << "\n" << printed;
+  EXPECT_EQ(again->dirs[1].text, "a//b///c");
+  EXPECT_EQ(Print(*again), printed);
+}
+
 TEST(Assemble, SimpleProgramLayout) {
   const char* src = R"(
 .text
