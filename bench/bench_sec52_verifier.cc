@@ -7,7 +7,7 @@
 // Uses google-benchmark since this is a host-time measurement; a custom
 // main() strips `--json <path>` before benchmark::Initialize sees it and
 // records the deterministic verification facts (bytes, instructions
-// checked, decode/check split) plus the measured throughput.
+// checked) plus the measured throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -183,42 +183,6 @@ bool ReportParallelJson(JsonReport* json) {
   json->Add("sec52.verify.parallel.identical.exact", identical ? 1.0 : 0.0);
   if (!identical) gates_ok = false;
 
-  // Batch identity over the individual workload texts.
-  std::vector<std::vector<uint8_t>> owned;
-  for (const auto& w : workloads::AllWorkloads()) {
-    const Built b = BuildLfi(workloads::Generate(w.name, 400000), Config::kO2);
-    if (!b.ok) continue;
-    auto img = elf::Read({b.elf.data(), b.elf.size()});
-    if (!img.ok()) continue;
-    for (const auto& seg : img->segments) {
-      if (seg.exec) owned.push_back(seg.data);
-    }
-  }
-  std::vector<std::span<const uint8_t>> texts;
-  for (const auto& t : owned) texts.emplace_back(t.data(), t.size());
-  verifier::VerifyStats bserial_stats;
-  std::vector<verifier::VerifyResult> bserial;
-  for (const auto& t : texts) {
-    bserial.push_back(verifier::Verify(t, {}, &bserial_stats));
-  }
-  bool batch_identical = true;
-  for (unsigned nthreads : {2u, 8u}) {
-    verifier::VerifyStats bstats;
-    const auto batch = verifier::VerifyBatch(texts, {}, nthreads, &bstats);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!SameVerdict(bserial[i], batch[i])) batch_identical = false;
-    }
-    if (!SameDeterministicStats(bserial_stats, bstats)) {
-      batch_identical = false;
-    }
-  }
-  json->Add("sec52.verify.batch.modules", static_cast<double>(texts.size()));
-  json->Add("sec52.verify.batch.identical.exact", batch_identical ? 1.0 : 0.0);
-  if (!batch_identical) {
-    std::fprintf(stderr, "sec52: VerifyBatch diverged from serial\n");
-    gates_ok = false;
-  }
-
   // Speedup gates, tiered by available cores: a shared 4-vCPU CI runner
   // cannot hit 3x@8, so each tier only gates when the host can support it.
   const unsigned hc = std::thread::hardware_concurrency();
@@ -247,9 +211,8 @@ bool ReportParallelJson(JsonReport* json) {
 // structural regression gate); the MB/s figure is informational.
 void ReportJson(JsonReport* json) {
   const auto& text = CombinedText();
-  verifier::VerifyStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  auto r = verifier::Verify({text.data(), text.size()}, {}, &stats);
+  auto r = verifier::Verify({text.data(), text.size()});
   const double secs = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - t0).count();
   if (!r.ok) {
@@ -262,11 +225,6 @@ void ReportJson(JsonReport* json) {
             static_cast<double>(r.insts_checked));
   json->Add("sec52.verify.mb_per_s",
             secs > 0 ? text.size() / secs / 1e6 : 0.0);
-  json->Add("sec52.verify.decode_fraction",
-            stats.decode_seconds + stats.check_seconds > 0
-                ? stats.decode_seconds /
-                      (stats.decode_seconds + stats.check_seconds)
-                : 0.0);
 }
 
 }  // namespace

@@ -47,9 +47,12 @@ std::vector<uint8_t> Write(const ElfImage& image) {
   const size_t phnum = image.segments.size();
   const size_t header_bytes = kEhdrSize + phnum * kPhdrSize;
 
+  size_t total = header_bytes;
+  for (const auto& seg : image.segments) total += seg.data.size();
   std::vector<uint8_t> out;
+  out.reserve(total);
   // ELF header.
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (uint8_t b : kMagic) out.push_back(b);
   out.push_back(kClass64);
   out.push_back(kDataLE);
   out.push_back(1);  // EV_CURRENT
@@ -110,8 +113,12 @@ Result<ElfImage> Read(std::span<const uint8_t> bytes) {
   if (phentsize != kPhdrSize) return Error{"elf: bad phentsize"};
   if (phnum > 64) return Error{"elf: too many program headers"};
   for (uint16_t k = 0; k < phnum; ++k) {
-    const uint64_t off = phoff + uint64_t{k} * kPhdrSize;
-    if (off + kPhdrSize > bytes.size()) {
+    uint64_t off = 0, end = 0;
+    if (__builtin_add_overflow(phoff, uint64_t{k} * kPhdrSize, &off) ||
+        __builtin_add_overflow(off, kPhdrSize, &end)) {
+      return Error{"elf: program header offset overflows"};
+    }
+    if (end > bytes.size()) {
       return Error{"elf: program header out of bounds"};
     }
     if (Get32(bytes, off) != kPtLoad) continue;

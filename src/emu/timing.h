@@ -145,6 +145,11 @@ class Timing {
   static constexpr int kSpIdx = 31;
   static constexpr int kFlagsIdx = 32;
   static constexpr int kIntRegs = 33;
+  // Scoreboard slot that SetReady writes for index -1 (xzr) and nothing
+  // reads: -1 & kSinkIdx == kSinkIdx, and every real index is below it.
+  // A test-and-skip there instead slows the chained backend measurably.
+  static constexpr int kSinkIdx = 63;
+  static_assert(kIntRegs <= kSinkIdx && (kSinkIdx & (kSinkIdx + 1)) == 0);
 
   // Records one retired instruction.
   //  `srcs`/`dst` index the integer scoreboard (-1 = none);
@@ -247,9 +252,11 @@ class Timing {
   void ChargeFlat(uint64_t cycles);
 
   // Directly marks a scoreboard entry ready at `cycle` (used for secondary
-  // destinations such as NZCV flags or the second register of ldp).
-  void SetReady(int idx, uint64_t cycle) { reg_ready_[idx] = cycle; }
-  void SetVReady(int idx, uint64_t cycle) { vreg_ready_[idx] = cycle; }
+  // destinations such as NZCV flags or the second register of ldp). An
+  // `idx` of -1 (xzr, e.g. `ldp x0, xzr, ...`) masks to kSinkIdx.
+  void SetReady(int idx, uint64_t cycle) {
+    reg_ready_[idx & kSinkIdx] = cycle;
+  }
 
   // Total cycles consumed so far.
   uint64_t Cycles() const;
@@ -265,7 +272,7 @@ class Timing {
 
  private:
   arch::CoreParams params_;
-  std::vector<uint64_t> reg_ready_;   // int scoreboard
+  std::vector<uint64_t> reg_ready_;   // int scoreboard, kSinkIdx + 1 slots
   std::vector<uint64_t> vreg_ready_;  // vector scoreboard
   uint64_t slot_acc_ = 0;             // issue slots consumed * 1
   uint64_t mem_acc_ = 0;              // memory ops

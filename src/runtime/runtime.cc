@@ -215,8 +215,11 @@ Status Runtime::MapImage(Proc* p, const elf::ElfImage& image) {
   uint64_t max_data_end = kProgramStart;
   for (const auto& seg : image.segments) {
     const uint64_t start = seg.vaddr;
-    const uint64_t end = seg.vaddr + std::max<uint64_t>(seg.memsz,
-                                                        seg.data.size());
+    uint64_t end = 0;
+    if (__builtin_add_overflow(
+            start, std::max<uint64_t>(seg.memsz, seg.data.size()), &end)) {
+      return Status::Fail("segment end overflows the address space");
+    }
     if (start < kProgramStart || end > kProgramEnd - kStackSize) {
       return Status::Fail("segment outside the loadable sandbox area");
     }

@@ -1,6 +1,13 @@
 #include "verifier/verifier.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
+#include <exception>
+#include <optional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/decode.h"
@@ -93,11 +100,20 @@ bool IsTableLoad(const Inst& i, const VerifyOptions& opts) {
          static_cast<uint64_t>(i.mem.imm) + 8 <= opts.table_bytes;
 }
 
-// Checks writes to reserved registers in instruction `insts[k]`.
-Violation CheckReservedWrites(std::span<const Inst> insts, size_t k,
-                              const VerifyOptions& opts) {
-  const Inst& i = insts[k];
+// What an instruction that passed its own checks still requires of its
+// successors: the Section 5.2 context rules for x30 and sp.
+enum class Need : uint8_t {
+  kNone,
+  kBlrX30,    // call-table load of x30: the next instruction is blr x30
+  kX30Guard,  // any other load of x30: the next instruction is its guard
+  kSpAccess,  // small sp adjust: an sp-based access or the sp guard comes
+              // before any branch, further sp write or the end of the text
+};
 
+// Checks writes to reserved registers in `i`. A write whose legality
+// depends on later instructions passes here and is reported via `need`.
+Violation CheckReservedWrites(const Inst& i, const VerifyOptions& opts,
+                              Need* need) {
   // x21 (sandbox base): never written, through any channel.
   if (arch::WritesGpr(i, arch::kRegBase)) {
     return {FailKind::kBaseRegWrite, "write to x21"};
@@ -118,24 +134,16 @@ Violation CheckReservedWrites(std::span<const Inst> insts, size_t k,
             "64-bit write to x22 breaks its 32-bit invariant"};
   }
 
-  // x30: guard, bl/blr, or a table load followed immediately by blr x30.
+  // x30: guard, bl/blr, or a load that the next instruction consumes (a
+  // table load by blr x30) or re-guards (e.g. an epilogue ldp).
   if (arch::WritesGpr(i, arch::kRegLink)) {
     const bool by_branch = i.mn == Mn::kBl || i.mn == Mn::kBlr;
     const bool by_guard = arch::IsGuardFor(i, arch::kRegLink);
     if (!by_branch && !by_guard) {
       if (IsTableLoad(i, opts)) {
-        if (k + 1 >= insts.size() || !IsBlrX30(insts[k + 1])) {
-          return {FailKind::kLinkRegProtocol,
-                  "call-table load of x30 not followed by blr x30"};
-        }
+        *need = Need::kBlrX30;
       } else if (arch::IsLoad(i)) {
-        // A reload of x30 from memory (e.g. an epilogue ldp) must be
-        // followed by the x30 guard before any branch could use it.
-        if (k + 1 >= insts.size() ||
-            !arch::IsGuardFor(insts[k + 1], arch::kRegLink)) {
-          return {FailKind::kLinkRegProtocol,
-                  "load of x30 not followed by its guard"};
-        }
+        *need = Need::kX30Guard;
       } else {
         return {FailKind::kLinkRegProtocol, "unguarded write to x30"};
       }
@@ -143,50 +151,26 @@ Violation CheckReservedWrites(std::span<const Inst> insts, size_t k,
   }
 
   // sp: guard, small add/sub with an in-block sp access following, or
-  // pre/post-index writeback (already restricted to sp in CheckAccess).
+  // pre/post-index writeback (already restricted to sp in CheckAccess;
+  // the imm9 encoding bounds the step to +-256 bytes).
   if (arch::WritesGpr(i, Reg::Sp())) {
-    if (arch::IsMemAccess(i)) {
-      // sp writeback: the imm9 encoding bounds the step to +-256 bytes.
-      return {};
-    }
-    if (arch::IsSpGuard(i)) return {};
+    if (arch::IsMemAccess(i) || arch::IsSpGuard(i)) return {};
     const bool small_adjust =
         (i.mn == Mn::kAddImm || i.mn == Mn::kSubImm) && i.rn.IsSp() &&
         i.rd.IsSp() && i.width == Width::kX && i.imm < 1024;
     if (!small_adjust) {
       return {FailKind::kSpProtocol, "unguarded write to sp"};
     }
-    // Scan forward: an sp-based access must occur before any branch and
-    // before any further sp write (other than sp-based writeback, which
-    // itself proves sp is in-bounds).
-    for (size_t j = k + 1; j < insts.size(); ++j) {
-      const Inst& n = insts[j];
-      if (arch::IsBranch(n)) {
-        return {FailKind::kSpProtocol,
-                "sp adjusted without a following in-block access"};
-      }
-      if (arch::IsMemAccess(n) && n.mem.base.IsSp()) return {};
-      if (arch::IsSpGuard(n)) return {};  // re-canonicalized: safe
-      if (arch::WritesGpr(n, Reg::Sp())) {
-        return {FailKind::kSpProtocol,
-                "sp adjusted twice without an access"};
-      }
-    }
-    return {FailKind::kSpProtocol,
-            "sp adjusted without a following in-block access"};
+    *need = Need::kSpAccess;
   }
   return {};
 }
 
-// The full per-instruction check: allowlist/system, ll/sc, memory
-// addressing, indirect branches, then reserved-register writes — in the
-// exact precedence order the linear pass applies, since precedence is
-// observable through FailKind when one instruction violates several
-// rules at once.
-Violation CheckInstImpl(std::span<const Inst> insts, size_t k,
-                        const VerifyOptions& opts) {
-  const Inst& i = insts[k];
-
+// The per-instruction check: allowlist/system, ll/sc, memory addressing,
+// indirect branches, then reserved-register writes, in that order, since
+// precedence is observable through FailKind when one instruction violates
+// several rules at once.
+Violation CheckInst(const Inst& i, const VerifyOptions& opts, Need* need) {
   // Property 3: instruction allowlist. The decoder already rejects
   // everything outside the supported ARMv8.0 subset; system instructions
   // that do decode are forbidden here.
@@ -219,17 +203,233 @@ Violation CheckInstImpl(std::span<const Inst> insts, size_t k,
   }
 
   // Property 2: reserved-register integrity.
-  return CheckReservedWrites(insts, k, opts);
+  return CheckReservedWrites(i, opts, need);
+}
+
+// How an instruction settles a pending Need::kSpAccess.
+enum class SpEvent : uint8_t {
+  kNone,         // leaves it pending
+  kDischarge,    // sp-based access or the sp guard: satisfied
+  kBranch,       // a branch, or the end of the text: violated
+  kSecondWrite,  // another sp write: violated
+};
+
+SpEvent SpEventOf(const Inst& n) {
+  if (arch::IsBranch(n)) return SpEvent::kBranch;
+  if (arch::IsMemAccess(n) && n.mem.base.IsSp()) return SpEvent::kDischarge;
+  if (arch::IsSpGuard(n)) return SpEvent::kDischarge;
+  if (arch::WritesGpr(n, Reg::Sp())) return SpEvent::kSecondWrite;
+  return SpEvent::kNone;
+}
+
+constexpr uint64_t kNoOffset = UINT64_MAX;
+
+struct Failure {
+  uint64_t offset = kNoOffset;
+  FailKind kind = FailKind::kNone;
+  std::string reason;
+  bool found() const { return offset != kNoOffset; }
+};
+
+// The state of one linear scan over the byte range [lo, hi). The verdict
+// for instruction k depends only on k and its successors, so a scan that
+// starts with no context computes every verdict inside its range except
+// the two it leaves open at `hi` (one x30 and one sp requirement). The
+// prefix summary (`first`, `first_sp`) is what a requirement left open
+// by the preceding range needs to be settled; see Join().
+struct Scan {
+  uint64_t hi = 0;      // end of the range
+  Failure undecodable;  // first undecodable word; ends the scan
+  Failure check;        // lowest check failure whose verdict is settled,
+                        // or found above a still-pending sp adjust
+  Need link = Need::kNone;       // x30 requirement of the word at hi - 4
+  uint64_t sp_adjust = kNoOffset;  // offset of a pending small sp adjust
+  std::optional<Inst> first;     // the instruction at lo
+  SpEvent first_sp = SpEvent::kNone;  // first sp event in [lo, hi)
+};
+
+// Settles a pending sp adjust with event `ev` (kNone leaves it open). A
+// violation is charged to the adjust, which lies below any check failure
+// found after it.
+void SettleSp(Scan* s, SpEvent ev) {
+  if (s->sp_adjust == kNoOffset || ev == SpEvent::kNone) return;
+  if (ev != SpEvent::kDischarge) {
+    s->check = {s->sp_adjust, FailKind::kSpProtocol,
+                ev == SpEvent::kBranch
+                    ? "sp adjusted without a following in-block access"
+                    : "sp adjusted twice without an access"};
+  }
+  s->sp_adjust = kNoOffset;
+}
+
+// Settles the x30 requirement of the instruction at `off` against its
+// successor `next` (null at the end of the text).
+void SettleLink(Scan* s, uint64_t off, const Inst* next) {
+  const Need need = std::exchange(s->link, Need::kNone);
+  if (need == Need::kBlrX30 && !(next && IsBlrX30(*next))) {
+    s->check = {off, FailKind::kLinkRegProtocol,
+                "call-table load of x30 not followed by blr x30"};
+  } else if (need == Need::kX30Guard &&
+             !(next && arch::IsGuardFor(*next, arch::kRegLink))) {
+    s->check = {off, FailKind::kLinkRegProtocol,
+                "load of x30 not followed by its guard"};
+  }
+}
+
+// Scans [lo, hi) of `text` with no incoming context. After the first
+// check failure only decoding (an undecodable word outranks it), the
+// pending sp adjust below it and the prefix summary continue.
+Scan ScanRange(std::span<const uint8_t> text, uint64_t lo, uint64_t hi,
+               const VerifyOptions& opts) {
+  Scan s;
+  s.hi = hi;
+  for (uint64_t off = lo; off < hi; off += 4) {
+    auto inst = arch::Decode(arch::ReadWordLE(text, off));
+    if (!inst) {
+      s.undecodable = {off, FailKind::kUndecodable,
+                       "undecodable instruction: " + inst.error()};
+      break;
+    }
+    const Inst& i = *inst;
+    if (off == lo) s.first = i;
+    if (s.first_sp == SpEvent::kNone || s.sp_adjust != kNoOffset) {
+      const SpEvent ev = SpEventOf(i);
+      if (s.first_sp == SpEvent::kNone) s.first_sp = ev;
+      SettleSp(&s, ev);
+    }
+    if (s.check.found()) continue;
+    if (s.link != Need::kNone) {
+      SettleLink(&s, off - 4, &i);
+      if (s.check.found()) continue;
+    }
+    Need need = Need::kNone;
+    if (auto v = CheckInst(i, opts, &need); !v.ok()) {
+      s.check = {off, v.kind, std::move(v.reason)};
+    } else if (need == Need::kSpAccess) {
+      s.sp_adjust = off;
+    } else {
+      s.link = need;
+    }
+  }
+  return s;
+}
+
+// Folds the scan of the next range `b` (starting at a->hi) into `a`,
+// which covers everything before it. Only a's open requirements are
+// settled, against b's prefix summary; every verdict inside b is already
+// final, so the lowest failure is a's if it has one, else b's.
+void Join(Scan* a, Scan b) {
+  if (a->undecodable.found()) return;
+  a->undecodable = std::move(b.undecodable);
+  SettleSp(a, b.first_sp);
+  if (!a->check.found() && a->link != Need::kNone) {
+    SettleLink(a, a->hi - 4, b.first ? &*b.first : nullptr);
+  }
+  a->link = Need::kNone;
+  if (!a->check.found()) {
+    a->check = std::move(b.check);
+    a->link = b.link;
+    // b has no sp event at all when a's adjust is still open.
+    if (a->sp_adjust == kNoOffset) a->sp_adjust = b.sp_adjust;
+  }
+  a->hi = b.hi;
+}
+
+// The verdict for a whole text: the end of the text acts like a branch
+// for a pending sp adjust and like a missing successor for x30.
+VerifyResult Finish(Scan s) {
+  SettleSp(&s, SpEvent::kBranch);
+  if (!s.check.found() && s.link != Need::kNone) {
+    SettleLink(&s, s.hi - 4, nullptr);
+  }
+  Failure& f = s.undecodable.found() ? s.undecodable : s.check;
+  if (f.found()) {
+    return VerifyResult::Fail(f.offset, f.kind, std::move(f.reason));
+  }
+  return VerifyResult::Ok(s.hi / 4);
+}
+
+// Below this many instructions the thread spawn/join overhead dominates
+// and the serial pass is both faster and trivially identical.
+constexpr size_t kMinShardInsts = 1024;
+
+// The CPUs this thread may run on, its own first. Workers are placed on
+// the others explicitly: where the kernel does not balance load across
+// CPUs (a cpuset with sched_load_balance=0), a new thread otherwise stays
+// on its parent's CPU and the shards run one after another.
+std::vector<int> AllowedCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return {};
+  const int self = sched_getcpu();
+  std::vector<int> cpus;
+  if (self >= 0 && CPU_ISSET(self, &set)) cpus.push_back(self);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (c != self && CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+void RunOnCpu(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  sched_setaffinity(0, sizeof(set), &set);  // best effort
+}
+
+// Verifies `text` as `shards` contiguous ranges: range 0 on the calling
+// thread, the others on workers, then a sequential fold over the seams.
+// The split depends only on (size, shards), never on scheduling.
+VerifyResult VerifyShards(std::span<const uint8_t> text,
+                          const VerifyOptions& opts, unsigned shards,
+                          VerifyStats* stats) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 =
+      stats != nullptr ? Clock::now() : Clock::time_point{};
+  VerifyResult r;
+  if (text.size() % 4 != 0) {
+    r = VerifyResult::Fail(text.size() & ~uint64_t{3}, FailKind::kTextSize,
+                           "text size not a multiple of 4");
+  } else if (shards == 1) {  // the common case: no fan-out to set up
+    r = Finish(ScanRange(text, 0, text.size(), opts));
+  } else {
+    const uint64_t nwords = text.size() / 4;
+    auto bound = [&](unsigned s) { return nwords * s / shards * 4; };
+    std::vector<Scan> rest(shards - 1);  // ranges 1.., on workers
+    std::vector<std::exception_ptr> errors(shards - 1);
+    const std::vector<int> cpus = AllowedCpus();
+    Scan whole;
+    {
+      std::vector<std::jthread> workers;  // joined on every exit path
+      workers.reserve(shards - 1);
+      for (unsigned s = 1; s < shards; ++s) {
+        workers.emplace_back([&, s] {
+          try {
+            if (cpus.size() > 1) RunOnCpu(cpus[s % cpus.size()]);
+            rest[s - 1] = ScanRange(text, bound(s), bound(s + 1), opts);
+          } catch (...) {
+            errors[s - 1] = std::current_exception();
+          }
+        });
+      }
+      whole = ScanRange(text, 0, bound(1), opts);
+    }
+    for (const auto& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+    for (Scan& b : rest) Join(&whole, std::move(b));
+    r = Finish(std::move(whole));
+  }
+  if (stats != nullptr) {
+    ++stats->calls;
+    ++stats->fail_counts[static_cast<size_t>(r.kind)];
+    stats->insts_checked += r.insts_checked;
+    stats->seconds +=
+        std::chrono::duration<double>(Clock::now() - t0).count();
+  }
+  return r;
 }
 
 }  // namespace
-
-FailKind CheckInst(std::span<const arch::Inst> insts, size_t k,
-                   const VerifyOptions& opts, std::string* reason) {
-  Violation v = CheckInstImpl(insts, k, opts);
-  if (!v.ok() && reason != nullptr) *reason = std::move(v.reason);
-  return v.kind;
-}
 
 const char* FailKindName(FailKind k) {
   switch (k) {
@@ -255,55 +455,20 @@ const char* FailKindName(FailKind k) {
 
 VerifyResult Verify(std::span<const uint8_t> text,
                     const VerifyOptions& opts, VerifyStats* stats) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 =
-      stats != nullptr ? Clock::now() : Clock::time_point{};
-  bool decoded = false;
-  Clock::time_point decode_done = t0;
-  // Every return funnels through this so the stats accumulator sees the
-  // verdict and the per-pass split regardless of which pass rejected.
-  auto finish = [&](VerifyResult r) {
-    if (stats != nullptr) {
-      const Clock::time_point t1 = Clock::now();
-      ++stats->calls;
-      ++stats->fail_counts[static_cast<size_t>(r.kind)];
-      stats->insts_checked += r.insts_checked;
-      const Clock::time_point split = decoded ? decode_done : t1;
-      stats->decode_seconds +=
-          std::chrono::duration<double>(split - t0).count();
-      stats->check_seconds +=
-          std::chrono::duration<double>(t1 - split).count();
-    }
-    return r;
-  };
+  return VerifyShards(text, opts, 1, stats);
+}
 
-  if (text.size() % 4 != 0) {
-    return finish(VerifyResult::Fail(text.size() & ~uint64_t{3},
-                                     FailKind::kTextSize,
-                                     "text size not a multiple of 4"));
-  }
-  // Decode everything up front (still one linear pass; the lookahead rules
-  // for x30 and sp need the decoded successors).
-  std::vector<Inst> insts;
-  insts.reserve(text.size() / 4);
-  for (uint64_t off = 0; off < text.size(); off += 4) {
-    auto inst = arch::Decode(arch::ReadWordLE(text, off));
-    if (!inst) {
-      return finish(
-          VerifyResult::Fail(off, FailKind::kUndecodable,
-                             "undecodable instruction: " + inst.error()));
-    }
-    insts.push_back(*inst);
-  }
-  decoded = true;
-  if (stats != nullptr) decode_done = Clock::now();
-
-  for (size_t k = 0; k < insts.size(); ++k) {
-    if (auto v = CheckInstImpl(insts, k, opts); !v.ok()) {
-      return finish(VerifyResult::Fail(k * 4, v.kind, std::move(v.reason)));
-    }
-  }
-  return finish(VerifyResult::Ok(insts.size()));
+VerifyResult VerifyParallel(std::span<const uint8_t> text,
+                            const VerifyOptions& opts, unsigned nthreads,
+                            VerifyStats* stats) {
+  if (nthreads == 0) nthreads = std::thread::hardware_concurrency();
+  const size_t nwords = text.size() / 4;
+  const unsigned shards =
+      nwords < 2 * kMinShardInsts
+          ? 1
+          : static_cast<unsigned>(std::clamp<size_t>(
+                nwords / kMinShardInsts, 1, std::max(nthreads, 1u)));
+  return VerifyShards(text, opts, shards, stats);
 }
 
 }  // namespace lfi::verifier

@@ -25,9 +25,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
-
-#include "arch/inst.h"
 
 namespace lfi::verifier {
 
@@ -97,63 +94,39 @@ struct VerifyResult {
 };
 
 // Accumulated verification statistics, for observability (`lfi-run
-// --stats`). Host wall-clock times, split by the verifier's two passes
-// (decode-all, then the property checks); being host times they are NOT
-// deterministic and must never feed the simulated-cycle trace.
+// --stats`). `seconds` is host wall-clock time; being a host time it is
+// NOT deterministic and must never feed the simulated-cycle trace.
 struct VerifyStats {
-  uint64_t calls = 0;             // Verify() invocations
+  uint64_t calls = 0;             // Verify()/VerifyParallel() invocations
   uint64_t insts_checked = 0;     // instructions in accepted texts
-  double decode_seconds = 0;
-  double check_seconds = 0;
+  double seconds = 0;
   // Verdict histogram; index FailKind::kNone counts accepted texts.
   std::array<uint64_t, static_cast<size_t>(FailKind::kCount)> fail_counts{};
 };
 
-// Verifies a text segment (little-endian instruction words). When `stats`
-// is non-null, per-pass timing and the verdict are accumulated into it.
+// Verifies a text segment (little-endian instruction words) in one
+// streaming pass: each word is decoded into a local instruction and
+// checked once, and the x30 and sp context rules are carried as O(1)
+// pending state instead of lookahead over a decoded array. An
+// undecodable word anywhere outranks any check failure; otherwise the
+// lowest failing offset wins, and an sp-adjust failure is charged to the
+// adjust. When `stats` is non-null, the time and verdict are accumulated
+// into it.
 VerifyResult Verify(std::span<const uint8_t> text,
                     const VerifyOptions& opts = {},
                     VerifyStats* stats = nullptr);
 
-// Per-instruction classification hook: checks instruction `k` of an
-// already-decoded text against every Section 5.2 property (system
-// allowlist, ll/sc, memory addressing, indirect branches, reserved-
-// register writes), with lookahead into `insts` for the x30 and sp
-// context rules. Returns kNone when the instruction passes. This is the
-// exact per-instruction body of Verify()'s check pass, exposed so the
-// sharded driver and the verify_model enumerator classify single
-// instructions without re-running the whole pipeline. `reason` (optional)
-// receives the human-oriented explanation only on failure.
-FailKind CheckInst(std::span<const arch::Inst> insts, size_t k,
-                   const VerifyOptions& opts = {},
-                   std::string* reason = nullptr);
-
-// Sharded verification of one text: decodes and checks the instruction
-// stream across up to `nthreads` worker threads (0 = hardware
-// concurrency). The verdict is bit-identical to Verify() — same ok flag,
-// fail_offset (first offending instruction, stable regardless of shard
-// count), kind, reason, and insts_checked — because both passes reduce
-// per-shard failures to the minimum offset. Deterministic VerifyStats
-// fields (calls, fail_counts, insts_checked) also match serial exactly;
-// the *_seconds fields remain host wall-clock and are not comparable.
-// The check pass shards over instructions but every worker sees the full
-// decoded array, so the unbounded sp lookahead crosses shard boundaries
-// without special cases.
+// Sharded verification of one text: the same scan over up to `nthreads`
+// contiguous byte ranges on worker threads (0 = hardware concurrency),
+// then a sequential reconciliation of the state each shard carries at
+// its seams (see docs/VERIFIER.md). The verdict (ok, kind, fail_offset,
+// reason, insts_checked) and the deterministic VerifyStats fields (calls,
+// insts_checked, fail_counts) are bit-identical to Verify() for every
+// input and thread count.
 VerifyResult VerifyParallel(std::span<const uint8_t> text,
                             const VerifyOptions& opts = {},
                             unsigned nthreads = 0,
                             VerifyStats* stats = nullptr);
-
-// Batch ingest: verifies `texts` as independent modules over a worker
-// pool (0 = hardware concurrency). results[i] is bit-identical to
-// Verify(texts[i], opts). When `stats` is non-null, per-module stats are
-// accumulated and then merged in module order, so every deterministic
-// field — and even the floating-point time sums — is independent of
-// thread count and scheduling.
-std::vector<VerifyResult> VerifyBatch(
-    std::span<const std::span<const uint8_t>> texts,
-    const VerifyOptions& opts = {}, unsigned nthreads = 0,
-    VerifyStats* stats = nullptr);
 
 }  // namespace lfi::verifier
 

@@ -140,8 +140,10 @@ Verdict PredictVerdict(std::span<const MFacts> facts,
 Verdict PredictVerdict(std::span<const uint32_t> words,
                        const verifier::VerifyOptions& opts);
 
-// Per-instruction check against already-extracted facts (index k), the
-// model twin of verifier::CheckInst.
+// Per-instruction check against already-extracted facts (index k): the
+// model twin of the verifier's per-instruction check, with the x30 and
+// sp context rules evaluated by lookahead over `facts` (the verifier
+// carries them as pending state in its streaming pass instead).
 verifier::FailKind CheckFacts(std::span<const MFacts> facts, size_t k,
                               const verifier::VerifyOptions& opts);
 

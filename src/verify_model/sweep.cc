@@ -1,9 +1,7 @@
 #include "verify_model/sweep.h"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
-
-#include "arch/decode.h"
 
 namespace lfi::verify_model {
 
@@ -11,28 +9,16 @@ namespace {
 
 using verifier::FailKind;
 
-// The real verifier's verdict for a single bare word.
-Verdict ActualBare(uint32_t w, const verifier::VerifyOptions& opts) {
-  Verdict v;
-  auto dec = arch::Decode(w);
-  if (!dec) {
-    v.kind = FailKind::kUndecodable;
-    return v;
-  }
-  const arch::Inst inst = *dec;
-  const FailKind kind = verifier::CheckInst({&inst, 1}, 0, opts);
-  if (kind == FailKind::kNone) v.ok = true;
-  else v.kind = kind;
-  return v;
-}
-
-// The real verifier's verdict for word + suffix, through the full
-// Verify() entry point (byte-level, so offset conventions match).
+// The real verifier's verdict for a word sequence (a bare word is a
+// sequence of one), through the full Verify() entry point (byte-level,
+// so offset conventions match). The words are read in place as the
+// little-endian byte stream the verifier takes.
+static_assert(std::endian::native == std::endian::little);
 Verdict ActualSeq(std::span<const uint32_t> words,
                   const verifier::VerifyOptions& opts) {
-  std::vector<uint8_t> bytes(words.size() * 4);
-  std::memcpy(bytes.data(), words.data(), bytes.size());
-  const verifier::VerifyResult r = verifier::Verify(bytes, opts);
+  const verifier::VerifyResult r = verifier::Verify(
+      {reinterpret_cast<const uint8_t*>(words.data()), words.size_bytes()},
+      opts);
   Verdict v;
   if (r.ok) {
     v.ok = true;
@@ -150,7 +136,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
       else model.kind = k;
     }
     if (opts.model_override) opts.model_override(facts, &model);
-    const Verdict actual = ActualBare(w, opts.verify);
+    const Verdict actual = ActualSeq({&w, 1}, opts.verify);
     if (!Agree(model, actual)) {
       Record(&res, opts, w, false, model, actual,
              "bare: model " + VerdictStr(model) + " vs verifier " +

@@ -68,6 +68,18 @@ TEST(Elf, RejectsCorruptInput) {
   }
 }
 
+// e_phoff near 2^64: phoff + 56 wraps to a small number that passes a
+// naive bounds check, and the header reads would land far outside the
+// buffer.
+TEST(Elf, RejectsWrappingProgramHeaderOffset) {
+  std::vector<uint8_t> bytes = Write(SampleImage());
+  const uint64_t phoff = ~uint64_t{0} - 15;  // phoff + 56 wraps to 40
+  for (int k = 0; k < 8; ++k) bytes[32 + k] = (phoff >> (8 * k)) & 0xff;
+  auto r = Read({bytes.data(), bytes.size()});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "elf: program header offset overflows");
+}
+
 TEST(Elf, FromAssembledBuildsExpectedSegments) {
   auto f = asmtext::Parse(R"(
 .text

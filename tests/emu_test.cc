@@ -309,6 +309,48 @@ TEST(Machine, PairAndPrePostIndex) {
   EXPECT_EQ(vm.X(10), 0x210000u);
 }
 
+// ldp whose second register is xzr discards that value. xzr has no
+// scoreboard entry (index -1), so its ready time must not be stored in
+// front of the scoreboard; every dispatch mode must agree on the results
+// and the simulated schedule, with and without writeback.
+TEST(Machine, LoadPairIntoXzrMatchesAcrossDispatch) {
+  const char* src =
+      "  movz x10, #0x21, lsl #16\n"
+      "  mov x1, #111\n"
+      "  mov x2, #222\n"
+      "  stp x1, x2, [x10]\n"
+      "  stp x2, x1, [x10, #16]\n"
+      "  movz x9, #4\n"
+      "loop:\n"
+      "  ldp x3, xzr, [x10]\n"
+      "  ldp x4, xzr, [x10, #16]!\n"
+      "  ldp x5, xzr, [x10], #-16\n"
+      "  add x6, x3, x4\n"
+      "  add x6, x6, x5\n"
+      "  subs x9, x9, #1\n"
+      "  b.ne loop\n"
+      "  brk #0\n";
+  uint64_t want_retired = 0, want_cycles = 0;
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock, Dispatch::kStep}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(src);
+    vm.machine.set_dispatch(d);
+    ASSERT_EQ(vm.Run(), StopReason::kBrk);
+    EXPECT_EQ(vm.X(3), 111u);
+    EXPECT_EQ(vm.X(4), 222u);
+    EXPECT_EQ(vm.X(5), 222u);
+    EXPECT_EQ(vm.X(6), 555u);
+    EXPECT_EQ(vm.X(10), 0x210000u);
+    if (d == Dispatch::kChained) {
+      want_retired = vm.machine.timing().Retired();
+      want_cycles = vm.machine.timing().Cycles();
+    } else {
+      EXPECT_EQ(vm.machine.timing().Retired(), want_retired);
+      EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
+    }
+  }
+}
+
 TEST(Machine, ExclusivePairSucceedsAndFails) {
   TestVm vm(R"(
     movz x10, #0x20, lsl #16

@@ -519,6 +519,26 @@ TEST(Runtime, UnverifiableProgramRejectedAtLoad) {
   EXPECT_FALSE(p.ok());
 }
 
+// A segment whose vaddr + memsz wraps past 2^64 must be refused by the
+// loader's own range check, not by whatever later mapping call happens
+// to trip over the wrapped end.
+TEST(Runtime, LoadRejectsWrappingSegmentEnd) {
+  auto elf_bytes = test::BuildElf(std::string("mov x0, #0\n") + kExit);
+  ASSERT_TRUE(elf_bytes.ok());
+  auto image = elf::Read({elf_bytes->data(), elf_bytes->size()});
+  ASSERT_TRUE(image.ok());
+  elf::Segment seg;
+  seg.vaddr = ~uint64_t{0} - 0xfff;  // vaddr + memsz wraps to 0x1000
+  seg.memsz = 0x2000;
+  seg.write = true;
+  image->segments.push_back(seg);
+  const std::vector<uint8_t> bytes = elf::Write(*image);
+  Runtime rt(TestConfig());
+  auto p = rt.Load({bytes.data(), bytes.size()});
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.error(), "segment end overflows the address space");
+}
+
 TEST(Runtime, FaultingSandboxIsKilledNotRuntime) {
   // A verified program can still fault (e.g. jumping into a guard region);
   // the runtime must contain it.

@@ -1,8 +1,8 @@
-// VerifyParallel / VerifyBatch must be bit-identical to serial Verify():
+// VerifyParallel must be bit-identical to serial Verify():
 // same verdict, FailKind, first-fail offset, and deterministic stats,
 // regardless of thread count and shard boundaries. The context-sensitive
 // rules (sp forward scan, x30 lookahead) are placed deliberately across
-// shard boundaries of the parallel check pass.
+// shard boundaries.
 
 #include <gtest/gtest.h>
 
@@ -185,41 +185,6 @@ TEST(VerifyParallel, RandomizedDifferential) {
       std::memcpy(text.data() + i * 4, &w, 4);
     }
     CheckAllThreadCounts(text, {}, "random round " + std::to_string(round));
-  }
-}
-
-TEST(VerifyBatch, MatchesIndividualVerify) {
-  std::vector<std::vector<uint8_t>> owned;
-  owned.push_back(AssembleRaw("add x18, x21, w1, uxtw\nldr x0, [x18]\nret\n"));
-  owned.push_back(AssembleRaw("svc #0\n"));
-  owned.push_back(BigModule(3000, {{1500, "br x1"}}));
-  owned.push_back(AssembleRaw("nop\n"));
-  owned.push_back({1, 2, 3});  // text-size failure
-  owned.push_back(BigModule(2500, {}));
-
-  std::vector<std::span<const uint8_t>> texts;
-  for (const auto& t : owned) texts.emplace_back(t.data(), t.size());
-
-  VerifyStats serial_stats;
-  std::vector<VerifyResult> serial;
-  for (const auto& t : texts) serial.push_back(Verify(t, {}, &serial_stats));
-
-  for (unsigned nthreads : {1u, 2u, 3u, 8u}) {
-    VerifyStats batch_stats;
-    const auto batch = VerifyBatch(texts, {}, nthreads, &batch_stats);
-    ASSERT_EQ(batch.size(), serial.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      ExpectIdentical(serial[i], batch[i],
-                      "module " + std::to_string(i) + " nthreads=" +
-                          std::to_string(nthreads));
-    }
-    ExpectStatsIdentical(serial_stats, batch_stats,
-                         "batch stats nthreads=" + std::to_string(nthreads));
-    // Batch stats are merged in module order: even the host-time float
-    // sums must be reproducible across runs with the same thread count.
-    VerifyStats again;
-    VerifyBatch(texts, {}, nthreads, &again);
-    EXPECT_EQ(again.fail_counts, batch_stats.fail_counts);
   }
 }
 

@@ -109,11 +109,10 @@ int EmitFooter(lfi::runtime::Runtime& rt, lfi::trace::TraceSink& sink,
     const auto& vs = rt.verify_stats();
     char line[160];
     snprintf(line, sizeof(line),
-             "verifier: %llu call(s), %llu insts checked, decode %.3f ms, "
-             "checks %.3f ms\n",
+             "verifier: %llu call(s), %llu insts checked, %.3f ms\n",
              static_cast<unsigned long long>(vs.calls),
              static_cast<unsigned long long>(vs.insts_checked),
-             vs.decode_seconds * 1e3, vs.check_seconds * 1e3);
+             vs.seconds * 1e3);
     ss << line;
     for (size_t k = 0; k < vs.fail_counts.size(); ++k) {
       if (k == 0 || vs.fail_counts[k] == 0) continue;
