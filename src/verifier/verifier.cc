@@ -1,5 +1,6 @@
 #include "verifier/verifier.h"
 
+#include <pthread.h>
 #include <sched.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include <exception>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,12 +26,10 @@ using arch::Reg;
 using arch::Width;
 
 // A classified rule violation; kind == kNone means the check passed.
+// Reasons are static strings, so a scan allocates nothing.
 struct Violation {
   FailKind kind = FailKind::kNone;
-  std::string reason;
-
-  Violation() = default;
-  Violation(FailKind k, std::string r) : kind(k), reason(std::move(r)) {}
+  const char* reason = nullptr;
   bool ok() const { return kind == FailKind::kNone; }
 };
 
@@ -120,10 +120,14 @@ Violation CheckReservedWrites(const Inst& i, const VerifyOptions& opts,
   }
 
   // x18/x23/x24: only the guard.
-  for (Reg r : {arch::kRegAddr, arch::kRegHoist0, arch::kRegHoist1}) {
+  static constexpr std::pair<Reg, const char*> kAddressRegs[] = {
+      {arch::kRegAddr, "unguarded write to x18"},
+      {arch::kRegHoist0, "unguarded write to x23"},
+      {arch::kRegHoist1, "unguarded write to x24"},
+  };
+  for (const auto& [r, reason] : kAddressRegs) {
     if (arch::WritesGpr(i, r) && !arch::IsGuardFor(i, r)) {
-      return {FailKind::kAddressRegWrite,
-              "unguarded write to " + arch::RegName(r, Width::kX)};
+      return {FailKind::kAddressRegWrite, reason};
     }
   }
 
@@ -227,7 +231,7 @@ constexpr uint64_t kNoOffset = UINT64_MAX;
 struct Failure {
   uint64_t offset = kNoOffset;
   FailKind kind = FailKind::kNone;
-  std::string reason;
+  const char* reason = nullptr;
   bool found() const { return offset != kNoOffset; }
 };
 
@@ -239,7 +243,7 @@ struct Failure {
 // by the preceding range needs to be settled; see Join().
 struct Scan {
   uint64_t hi = 0;      // end of the range
-  Failure undecodable;  // first undecodable word; ends the scan
+  uint64_t undecodable = kNoOffset;  // first undecodable word; ends the scan
   Failure check;        // lowest check failure whose verdict is settled,
                         // or found above a still-pending sp adjust
   Need link = Need::kNone;       // x30 requirement of the word at hi - 4
@@ -247,6 +251,8 @@ struct Scan {
   std::optional<Inst> first;     // the instruction at lo
   SpEvent first_sp = SpEvent::kNone;  // first sp event in [lo, hi)
 };
+// Workers hand their scans back without touching the heap.
+static_assert(std::is_trivially_copyable_v<Scan>);
 
 // Settles a pending sp adjust with event `ev` (kNone leaves it open). A
 // violation is charged to the adjust, which lies below any check failure
@@ -286,8 +292,7 @@ Scan ScanRange(std::span<const uint8_t> text, uint64_t lo, uint64_t hi,
   for (uint64_t off = lo; off < hi; off += 4) {
     auto inst = arch::Decode(arch::ReadWordLE(text, off));
     if (!inst) {
-      s.undecodable = {off, FailKind::kUndecodable,
-                       "undecodable instruction: " + inst.error()};
+      s.undecodable = off;
       break;
     }
     const Inst& i = *inst;
@@ -304,7 +309,7 @@ Scan ScanRange(std::span<const uint8_t> text, uint64_t lo, uint64_t hi,
     }
     Need need = Need::kNone;
     if (auto v = CheckInst(i, opts, &need); !v.ok()) {
-      s.check = {off, v.kind, std::move(v.reason)};
+      s.check = {off, v.kind, v.reason};
     } else if (need == Need::kSpAccess) {
       s.sp_adjust = off;
     } else {
@@ -318,16 +323,16 @@ Scan ScanRange(std::span<const uint8_t> text, uint64_t lo, uint64_t hi,
 // which covers everything before it. Only a's open requirements are
 // settled, against b's prefix summary; every verdict inside b is already
 // final, so the lowest failure is a's if it has one, else b's.
-void Join(Scan* a, Scan b) {
-  if (a->undecodable.found()) return;
-  a->undecodable = std::move(b.undecodable);
+void Join(Scan* a, const Scan& b) {
+  if (a->undecodable != kNoOffset) return;
+  a->undecodable = b.undecodable;
   SettleSp(a, b.first_sp);
   if (!a->check.found() && a->link != Need::kNone) {
     SettleLink(a, a->hi - 4, b.first ? &*b.first : nullptr);
   }
   a->link = Need::kNone;
   if (!a->check.found()) {
-    a->check = std::move(b.check);
+    a->check = b.check;
     a->link = b.link;
     // b has no sp event at all when a's adjust is still open.
     if (a->sp_adjust == kNoOffset) a->sp_adjust = b.sp_adjust;
@@ -335,16 +340,21 @@ void Join(Scan* a, Scan b) {
   a->hi = b.hi;
 }
 
-// The verdict for a whole text: the end of the text acts like a branch
-// for a pending sp adjust and like a missing successor for x30.
-VerifyResult Finish(Scan s) {
+// The verdict for the whole of `text`: the end of the text acts like a
+// branch for a pending sp adjust and like a missing successor for x30.
+VerifyResult Finish(std::span<const uint8_t> text, Scan s) {
   SettleSp(&s, SpEvent::kBranch);
   if (!s.check.found() && s.link != Need::kNone) {
     SettleLink(&s, s.hi - 4, nullptr);
   }
-  Failure& f = s.undecodable.found() ? s.undecodable : s.check;
-  if (f.found()) {
-    return VerifyResult::Fail(f.offset, f.kind, std::move(f.reason));
+  if (const uint64_t off = s.undecodable; off != kNoOffset) {
+    return VerifyResult::Fail(
+        off, FailKind::kUndecodable,
+        "undecodable instruction: " +
+            arch::Decode(arch::ReadWordLE(text, off)).error());
+  }
+  if (s.check.found()) {
+    return VerifyResult::Fail(s.check.offset, s.check.kind, s.check.reason);
   }
   return VerifyResult::Ok(s.hi / 4);
 }
@@ -376,6 +386,27 @@ void RunOnCpu(int cpu) {
   sched_setaffinity(0, sizeof(set), &set);  // best effort
 }
 
+// One range of a sharded verification and what its scan found.
+struct Shard {
+  std::span<const uint8_t> text;
+  uint64_t lo = 0, hi = 0;
+  const VerifyOptions* opts = nullptr;
+  int cpu = -1;  // the CPU to run on, or -1 to leave placement alone
+  Scan scan;
+  std::exception_ptr error;
+};
+
+void* RunShard(void* arg) {
+  Shard& s = *static_cast<Shard*>(arg);
+  try {
+    if (s.cpu >= 0) RunOnCpu(s.cpu);
+    s.scan = ScanRange(s.text, s.lo, s.hi, *s.opts);
+  } catch (...) {
+    s.error = std::current_exception();
+  }
+  return nullptr;
+}
+
 // Verifies `text` as `shards` contiguous ranges: range 0 on the calling
 // thread, the others on workers, then a sequential fold over the seams.
 // The split depends only on (size, shards), never on scheduling.
@@ -390,34 +421,40 @@ VerifyResult VerifyShards(std::span<const uint8_t> text,
     r = VerifyResult::Fail(text.size() & ~uint64_t{3}, FailKind::kTextSize,
                            "text size not a multiple of 4");
   } else if (shards == 1) {  // the common case: no fan-out to set up
-    r = Finish(ScanRange(text, 0, text.size(), opts));
+    r = Finish(text, ScanRange(text, 0, text.size(), opts));
   } else {
     const uint64_t nwords = text.size() / 4;
     auto bound = [&](unsigned s) { return nwords * s / shards * 4; };
-    std::vector<Scan> rest(shards - 1);  // ranges 1.., on workers
-    std::vector<std::exception_ptr> errors(shards - 1);
     const std::vector<int> cpus = AllowedCpus();
-    Scan whole;
-    {
-      std::vector<std::jthread> workers;  // joined on every exit path
-      workers.reserve(shards - 1);
-      for (unsigned s = 1; s < shards; ++s) {
-        workers.emplace_back([&, s] {
-          try {
-            if (cpus.size() > 1) RunOnCpu(cpus[s % cpus.size()]);
-            rest[s - 1] = ScanRange(text, bound(s), bound(s + 1), opts);
-          } catch (...) {
-            errors[s - 1] = std::current_exception();
-          }
-        });
+    std::vector<Shard> part(shards);
+    for (unsigned s = 0; s < shards; ++s) {
+      const int cpu = s > 0 && cpus.size() > 1 ? cpus[s % cpus.size()] : -1;
+      part[s] = {text, bound(s), bound(s + 1), &opts, cpu, {}, {}};
+    }
+    // Workers are plain pthreads, not std::threads, which free their
+    // start-up state on the new thread: that gave each worker a malloc
+    // arena and handed chunks back to this thread's arena in finishing
+    // order, so the caller's heap layout (and a long run's peak RSS)
+    // varied from run to run. A worker here never touches the heap, and
+    // nothing from the first start to the last join can throw.
+    std::vector<pthread_t> workers;
+    workers.reserve(shards - 1);
+    for (unsigned s = 1; s < shards; ++s) {
+      pthread_t t;
+      if (pthread_create(&t, nullptr, RunShard, &part[s]) == 0) {
+        workers.push_back(t);
+      } else {
+        RunShard(&part[s]);  // no thread to spare: scan it here
       }
-      whole = ScanRange(text, 0, bound(1), opts);
     }
-    for (const auto& e : errors) {
-      if (e) std::rethrow_exception(e);
+    RunShard(&part[0]);
+    for (pthread_t t : workers) pthread_join(t, nullptr);
+    for (const Shard& b : part) {
+      if (b.error) std::rethrow_exception(b.error);
     }
-    for (Scan& b : rest) Join(&whole, std::move(b));
-    r = Finish(std::move(whole));
+    Scan whole = part[0].scan;
+    for (unsigned s = 1; s < shards; ++s) Join(&whole, part[s].scan);
+    r = Finish(text, whole);
   }
   if (stats != nullptr) {
     ++stats->calls;
